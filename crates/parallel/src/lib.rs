@@ -20,9 +20,14 @@
 //! * [`ParallelPool::map_indexed`] — a convenience parallel map collecting
 //!   one `T` per index (used for per-head attention and per-sample loops).
 //!
-//! Nested calls (a parallel region entered from inside a worker) run inline
-//! on the current thread, so callers never deadlock and never oversubscribe:
-//! the outermost loop wins the threads, inner kernels stay sequential.
+//! Nested *or concurrent* regions run inline on their caller; a region never
+//! waits for another. A region entered from inside a worker, or submitted
+//! while another caller's region is in flight, runs all of its chunks on the
+//! submitting thread. The outermost loop wins the threads, inner kernels stay
+//! sequential, and two threads sharing the pool (say, two device forwards)
+//! run side by side instead of queueing region by region. The inline path
+//! runs exactly the chunks the workers would have shared, so results do not
+//! depend on which path a region took.
 //!
 //! # Example
 //!
@@ -136,8 +141,11 @@ pub struct ParallelPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    /// Serializes regions: one parallel region at a time per pool.
-    submit: Mutex<()>,
+    /// Regions currently running, inline or shared. Only a region that finds
+    /// none in flight shares the workers; any other runs inline on its
+    /// caller, so regions never wait for each other and concurrent callers
+    /// do not oversubscribe the cores.
+    in_flight: AtomicUsize,
 }
 
 impl std::fmt::Debug for ParallelPool {
@@ -172,7 +180,7 @@ impl ParallelPool {
             shared,
             workers,
             threads,
-            submit: Mutex::new(()),
+            in_flight: AtomicUsize::new(0),
         }
     }
 
@@ -199,6 +207,9 @@ impl ParallelPool {
     /// the pool, blocking until all complete. `call`/`data` must together
     /// form a `Sync` closure that outlives this call — guaranteed by the
     /// typed wrappers below, which keep the closure on the caller's stack.
+    ///
+    /// If another caller's region is in flight, every chunk runs here on the
+    /// caller instead: a region never waits for another.
     fn run_region(&self, chunks: usize, call: unsafe fn(*const (), usize), data: *const ()) {
         debug_assert!(chunks > 0);
         let region = Arc::new(Region {
@@ -209,32 +220,39 @@ impl ParallelPool {
             pending: AtomicUsize::new(chunks),
             panicked: AtomicBool::new(false),
         });
-        // One region at a time; the caller participates, so this lock is
-        // never held across a wait for another caller's work.
-        let _submit = lock(&self.submit);
-        {
+        // Claim the workers without blocking: only a region entering an idle
+        // pool gets them, so at most one region is ever published. Acquire
+        // pairs with the Release decrement below, so this caller sees the
+        // previous shared region fully retired from the slot.
+        let shared = self.in_flight.fetch_add(1, Ordering::AcqRel) == 0;
+        if shared {
             let mut state = lock(&self.shared.state);
             state.region = Some(Arc::clone(&region));
             state.generation = state.generation.wrapping_add(1);
+            drop(state);
+            self.shared.work_ready.notify_all();
         }
-        self.shared.work_ready.notify_all();
 
-        // The caller claims chunks like any worker.
+        // The caller claims chunks like any worker; on the inline path it
+        // claims them all.
         IN_POOL.with(|flag| flag.set(true));
         region.work();
         IN_POOL.with(|flag| flag.set(false));
 
-        // Wait for stragglers still draining their claimed chunks.
-        let mut state = lock(&self.shared.state);
-        while !region.done() {
-            state = self
-                .shared
-                .region_done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        if shared {
+            // Wait for stragglers still draining their claimed chunks.
+            let mut state = lock(&self.shared.state);
+            while !region.done() {
+                state = self
+                    .shared
+                    .region_done
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.region = None;
+            drop(state);
         }
-        state.region = None;
-        drop(state);
+        self.in_flight.fetch_sub(1, Ordering::Release);
         if region.panicked.load(Ordering::Acquire) {
             panic!("a parallel region chunk panicked");
         }
