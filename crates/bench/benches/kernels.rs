@@ -48,7 +48,14 @@ fn bench_batch_matmul(c: &mut Criterion) {
 
 fn bench_attention_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mhsa_forward");
-    for &(tokens, dim, heads) in &[(16usize, 64usize, 4usize), (64, 64, 8), (196, 96, 6)] {
+    // 197tok_192d_6h is the ViT-Small 224² sub-model shape the end-to-end
+    // stream workload runs (six heads of width 32 over 196 patches + CLS).
+    for &(tokens, dim, heads) in &[
+        (16usize, 64usize, 4usize),
+        (64, 64, 8),
+        (196, 96, 6),
+        (197, 192, 6),
+    ] {
         let mut rng = TensorRng::new(2);
         let mut mhsa = MultiHeadSelfAttention::new(dim, heads, dim / heads, &mut rng).unwrap();
         let x = rng.randn(&[tokens, dim], 0.0, 1.0);
@@ -74,6 +81,11 @@ fn bench_softmax_and_kl(c: &mut Criterion) {
     let logits = TensorRng::new(3).randn(&[256, 257], 0.0, 2.0);
     c.bench_function("softmax_256x257", |b| {
         b.iter(|| logits.softmax_last_axis().unwrap());
+    });
+    // One head's attention scores at the ViT-Small 224² token count.
+    let scores = TensorRng::new(8).randn(&[197, 197], 0.0, 2.0);
+    c.bench_function("softmax_197x197", |b| {
+        b.iter(|| scores.softmax_last_axis().unwrap());
     });
     let p = TensorRng::new(4).rand_uniform(&[256, 10], 0.01, 1.0);
     let q = TensorRng::new(5).rand_uniform(&[256, 10], 0.01, 1.0);

@@ -1,5 +1,5 @@
 use edvit_parallel::ParallelPool;
-use edvit_tensor::{init::TensorRng, Tensor};
+use edvit_tensor::{init::TensorRng, ops, Tensor};
 
 use crate::{Layer, Linear, NnError, Parameter, Result};
 
@@ -253,8 +253,10 @@ impl MultiHeadSelfAttention {
     /// Scaled-dot-product attention of a single head.
     fn head_forward(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(Tensor, HeadCache)> {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let scores = q.matmul_transposed(k)?.scale(scale);
-        let attn = scores.softmax_last_axis()?;
+        let mut attn = q.matmul_transposed(k)?;
+        attn.map_inplace(|x| x * scale);
+        let tokens = k.dims()[0];
+        ops::softmax_rows(attn.data_mut(), tokens, ParallelPool::global());
         let out = attn.matmul(v)?;
         Ok((
             out,

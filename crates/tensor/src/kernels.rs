@@ -8,11 +8,17 @@
 //!
 //! # Kernel design
 //!
-//! `matmul` uses the classic GEBP blocking scheme, sized for edge-class CPUs:
+//! `matmul` (`A·B`) and `matmul_transposed` (`A·Bᵀ`, attention's `Q·Kᵀ`)
+//! share one GEBP driver, sized for edge-class CPUs. The two differ only in
+//! the step that packs B:
 //!
-//! * **Column panels** — B is packed into contiguous `KC × NC` panels
-//!   (`256 × 128` floats = 128 KiB, sized to sit in L2) so the innermost loop
-//!   streams one dense panel instead of striding through all of B.
+//! * **Column panels** — each `KC × NC` block of B (`256 × 128` floats =
+//!   128 KiB, sized to sit in L2) is packed into one contiguous row-major
+//!   panel, `panel[p·nc + j] = B[pc+p, jc+j]`, so the innermost loop streams
+//!   one dense buffer instead of striding through all of B. `matmul` copies
+//!   rows of B; `matmul_transposed` gathers columns of its `[n, k]` operand,
+//!   `panel[p·nc + j] = b[(jc+j)·k + pc+p]`. Everything after the packing
+//!   step is shared.
 //! * **Register tiling** — output rows are processed [`MR`] (= 4) at a time
 //!   against 8- or 16-wide column tiles whose partial sums live entirely in
 //!   registers; each packed B row is loaded once per 4 output rows. On
@@ -24,10 +30,22 @@
 //!   the sequential blocked kernel on a disjoint strip of rows, claiming
 //!   strips from a shared counter so uneven strips self-balance.
 //!
-//! Every output element is accumulated in the exact same floating-point
-//! order no matter how many threads participate (each row is owned by exactly
-//! one thread and the block loop order is fixed), so results are bit-identical
+//! # Row-position invariance
+//!
+//! A row's bits do not depend on where it sits in the product. The `m % 4`
+//! rows after the last full strip run a 1-row kernel that repeats the 4-row
+//! kernel's arithmetic for one row: zeroed accumulators of the same tile
+//! width, the same p-order and fused-or-not operations, one add into `out`
+//! per panel, and the same scalar column tail. So row `i` of an `m`-row
+//! product equals, bit for bit, the 1-row product of row `i` alone. Thread
+//! count cannot change a result either: each row is owned by exactly one
+//! thread and the block loop order is fixed, so results are bit-identical
 //! across `EDVIT_THREADS` settings.
+//!
+//! The softmax that consumes attention scores evaluates `exp` with
+//! [`crate::ops::exp_poly`] (Cody–Waite reduction, degree-6 polynomial):
+//! relative error ≤ 2e-7 against f64 `exp` on `[-87.3, 0]`, exactly 0 below
+//! `ln(f32::MIN_POSITIVE)`.
 
 use edvit_parallel::ParallelPool;
 
@@ -76,26 +94,65 @@ pub fn matmul(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let work = m * k * n;
-    if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
-        matmul_seq(a, b, out, m, k, n);
+    split_rows(a, out, m, k, n, pool, |a, out, rows| {
+        matmul_seq(a, b, out, rows, k, n);
+    });
+}
+
+/// Runs `body(a_rows, out_rows, rows)` over all `m` rows: in one call below
+/// [`PAR_WORK_THRESHOLD`] multiply-adds, otherwise over [`chunk_rows`]-sized
+/// row chunks claimed across `pool`.
+fn split_rows(
+    a: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    pool: &ParallelPool,
+    body: impl Fn(&[f32], &mut [f32], usize) + Sync,
+) {
+    if m * k * n < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
+        body(a, out, m);
         return;
     }
     let rows_per_chunk = chunk_rows(m, k * n, pool);
     pool.scope_chunks(out, rows_per_chunk * n, |base, out_chunk| {
         let row0 = base / n;
         let rows = out_chunk.len() / n;
-        matmul_seq(&a[row0 * k..(row0 + rows) * k], b, out_chunk, rows, k, n);
+        body(&a[row0 * k..(row0 + rows) * k], out_chunk, rows);
     });
 }
 
 /// Sequential blocked matmul over all `m` rows (the per-thread body of
 /// [`matmul`]). `out` must be zero-filled.
 pub fn matmul_seq(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    gebp(a, out, m, k, n, |panel, pc, jc, nc| {
+        // Rows pc.. of B, columns jc..jc+nc: one contiguous copy per row.
+        for (p, dst) in panel.chunks_exact_mut(nc).enumerate() {
+            let src = (pc + p) * n + jc;
+            dst.copy_from_slice(&b[src..src + nc]);
+        }
+    });
+}
+
+/// The GEBP block loop both matmul layouts share. For each `KC × NC` block
+/// of B at `(pc, jc)`, `pack(panel, pc, jc, nc)` fills the `kc × nc` panel
+/// row-major (`panel[p·nc + j] = B[pc+p, jc+j]`, `kc = panel.len() / nc`);
+/// then every full [`MR`]-row strip of A runs the 4-row micro-kernel against
+/// it and the `m % MR` leftover rows run the 1-row kernel, which repeats the
+/// 4-row arithmetic so a row's bits do not depend on its position. `out`
+/// must be zero-filled; every panel adds into it.
+fn gebp(
+    a: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    mut pack: impl FnMut(&mut [f32], usize, usize, usize),
+) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let mut rows: Vec<&mut [f32]> = out.chunks_mut(n).collect();
     let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
     let mut jc = 0;
     while jc < n {
@@ -103,37 +160,30 @@ pub fn matmul_seq(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            // Pack B[pc..pc+kc, jc..jc+nc] into a contiguous kc×nc panel.
-            for p in 0..kc {
-                let src = &b[(pc + p) * n + jc..(pc + p) * n + jc + nc];
-                panel[p * nc..p * nc + nc].copy_from_slice(src);
-            }
+            pack(&mut panel[..kc * nc], pc, jc, nc);
             let panel = &panel[..kc * nc];
-            for (strip, out_strip) in rows.chunks_mut(MR).enumerate() {
+            let a_row = |i: usize| &a[i * k + pc..i * k + pc + kc];
+            for (strip, out_strip) in out.chunks_mut(MR * n).enumerate() {
                 let i0 = strip * MR;
-                match out_strip {
-                    [r0, r1, r2, r3] => micro_tile_4_dispatch(
-                        &a[i0 * k + pc..i0 * k + pc + kc],
-                        &a[(i0 + 1) * k + pc..(i0 + 1) * k + pc + kc],
-                        &a[(i0 + 2) * k + pc..(i0 + 2) * k + pc + kc],
-                        &a[(i0 + 3) * k + pc..(i0 + 3) * k + pc + kc],
+                if out_strip.len() == MR * n {
+                    let (r0, rest) = out_strip.split_at_mut(n);
+                    let (r1, rest) = rest.split_at_mut(n);
+                    let (r2, r3) = rest.split_at_mut(n);
+                    micro_tile_4_dispatch(
+                        a_row(i0),
+                        a_row(i0 + 1),
+                        a_row(i0 + 2),
+                        a_row(i0 + 3),
                         panel,
                         nc,
                         &mut r0[jc..jc + nc],
                         &mut r1[jc..jc + nc],
                         &mut r2[jc..jc + nc],
                         &mut r3[jc..jc + nc],
-                    ),
-                    _ => {
-                        for (ri, row) in out_strip.iter_mut().enumerate() {
-                            let i = i0 + ri;
-                            micro_tile_1(
-                                &a[i * k + pc..i * k + pc + kc],
-                                panel,
-                                nc,
-                                &mut row[jc..jc + nc],
-                            );
-                        }
+                    );
+                } else {
+                    for (ri, row) in out_strip.chunks_mut(n).enumerate() {
+                        micro_tile_1_dispatch(a_row(i0 + ri), panel, nc, &mut row[jc..jc + nc]);
                     }
                 }
             }
@@ -331,16 +381,107 @@ fn micro_tile_4(
     }
 }
 
-/// Single-row micro-kernel for the `m % 4` remainder rows.
+/// Dispatches the 1-row micro-kernel the same way as
+/// [`micro_tile_4_dispatch`], so a leftover row always runs the variant
+/// whose arithmetic matches the 4-row kernel on this CPU.
 #[inline]
-fn micro_tile_1(a_row: &[f32], panel: &[f32], nc: usize, o: &mut [f32]) {
-    let kc = a_row.len();
-    let o = &mut o[..nc];
-    for p in 0..kc {
-        let x = a_row[p];
-        let brow = &panel[p * nc..p * nc + nc];
-        for j in 0..nc {
-            o[j] += x * brow[j];
+fn micro_tile_1_dispatch(a0: &[f32], panel: &[f32], nc: usize, o0: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: the required CPU features were just detected.
+            unsafe {
+                return micro_tile_1_fma(a0, panel, nc, o0);
+            }
+        }
+    }
+    micro_tile_1(a0, panel, nc, o0);
+}
+
+/// AVX2+FMA 1×16 micro-kernel: [`micro_tile_4_fma`]'s arithmetic for one
+/// row — two zeroed `ymm` accumulators per 16-column tile, one fused
+/// multiply-add each per packed panel row in p-order, one add into `o0`,
+/// and the same scalar column tail — so its output is bit-identical to that
+/// row's output from the 4-row kernel.
+///
+/// # Safety
+///
+/// The caller must guarantee that (a) the `avx2` and `fma` CPU features are
+/// present (the only call site dispatches through
+/// `is_x86_feature_detected!`), and (b) `panel.len() >= a0.len() * nc` and
+/// `o0` holds at least `nc` elements — the body reads `a0` with
+/// `get_unchecked(p)` for `p < a0.len()` and does unaligned 8-float
+/// loads/stores at `panel[p*nc + j..]` / `o0[j..j+16]` for `j + 16 <= nc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn micro_tile_1_fma(a0: &[f32], panel: &[f32], nc: usize, o0: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    const TILE: usize = 16;
+    let kc = a0.len();
+    let mut j = 0;
+    while j + TILE <= nc {
+        // SAFETY: loop guard gives `j + 16 <= nc`, so both 8-float unaligned
+        // loads/stores stay inside `panel[p*nc..(p+1)*nc]` and `o0[..nc]`;
+        // `p < kc = a0.len()` bounds every `get_unchecked(p)`.
+        unsafe {
+            let (mut c00, mut c01) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+            for p in 0..kc {
+                let bp = panel.as_ptr().add(p * nc + j);
+                let x0 = _mm256_set1_ps(*a0.get_unchecked(p));
+                c00 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(bp), c00);
+                c01 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(bp.add(8)), c01);
+            }
+            let o = o0.as_mut_ptr().add(j);
+            _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), c00));
+            _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), c01));
+        }
+        j += TILE;
+    }
+    if j < nc {
+        for p in 0..kc {
+            let x0 = a0[p];
+            let brow = &panel[p * nc..(p + 1) * nc];
+            for l in j..nc {
+                o0[l] += x0 * brow[l];
+            }
+        }
+    }
+}
+
+/// The 1×8 portable micro-kernel: [`micro_tile_4`]'s arithmetic for one row
+/// (8-wide stack accumulators flushed once per tile, then the axpy column
+/// tail), so its output is bit-identical to that row's output from the
+/// 4-row kernel.
+#[inline]
+fn micro_tile_1(a0: &[f32], panel: &[f32], nc: usize, o0: &mut [f32]) {
+    let kc = a0.len();
+    let o0 = &mut o0[..nc];
+    let mut j = 0;
+    while j + NR <= nc {
+        let mut c0 = [0.0f32; NR];
+        for p in 0..kc {
+            let x0 = a0[p];
+            let brow = &panel[p * nc + j..p * nc + j + NR];
+            for l in 0..NR {
+                c0[l] += x0 * brow[l];
+            }
+        }
+        for l in 0..NR {
+            o0[j + l] += c0[l];
+        }
+        j += NR;
+    }
+    if j < nc {
+        for p in 0..kc {
+            let x0 = a0[p];
+            let brow = &panel[p * nc..(p + 1) * nc];
+            for l in j..nc {
+                o0[l] += x0 * brow[l];
+            }
         }
     }
 }
@@ -363,30 +504,31 @@ pub fn matmul_transposed(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let work = m * k * n;
-    if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
+    split_rows(a, out, m, k, n, pool, |a, out, _| {
         matmul_transposed_seq(a, b, out, k, n);
-        return;
-    }
-    let rows_per_chunk = chunk_rows(m, k * n, pool);
-    pool.scope_chunks(out, rows_per_chunk * n, |base, out_chunk| {
-        let row0 = base / n;
-        let rows = out_chunk.len() / n;
-        matmul_transposed_seq(&a[row0 * k..(row0 + rows) * k], b, out_chunk, k, n);
     });
 }
 
-/// Sequential body of [`matmul_transposed`]: `a` holds `out.len() / n` rows.
+/// Sequential body of [`matmul_transposed`]: `a` holds `out.len() / n`
+/// rows. `out` may hold arbitrary values on entry; every element is
+/// overwritten.
 pub fn matmul_transposed_seq(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (o, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
-            *o = dot(arow, brow);
-        }
+    out.fill(0.0);
+    if n == 0 {
+        return;
     }
+    let m = out.len() / n;
+    gebp(a, out, m, k, n, |panel, pc, jc, nc| {
+        // Rows jc..jc+nc of b become the panel's columns. Filling the panel
+        // row by row writes sequentially and touches one cache line of each
+        // of the nc source rows per 16 panel rows.
+        for (p, dst) in panel.chunks_exact_mut(nc).enumerate() {
+            let src = &b[jc * k + pc + p..];
+            for (j, d) in dst.iter_mut().enumerate() {
+                *d = src[j * k];
+            }
+        }
+    });
 }
 
 /// Batched parallel matmul: `bt` independent `[m, k]·[k, n]` products.
@@ -454,7 +596,8 @@ pub fn batch_matmul(
 }
 
 /// Dot product over equal-length slices, dispatching to the AVX2+FMA variant
-/// on CPUs that have it.
+/// on CPUs that have it. Serves `matvec` and `Tensor::dot`; the matmuls go
+/// through the packed GEBP driver instead.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
@@ -660,6 +803,73 @@ mod tests {
             );
             assert_close(&got[bi * m * n..(bi + 1) * m * n], &expected);
         }
+    }
+
+    /// Runs a 4-row and a 1-row micro-kernel on one random packed panel
+    /// over outputs that start non-zero (the kernels add into `out`), and
+    /// checks each 1-row result equals the 4-row kernel's row bit for bit
+    /// and the naive sum up to rounding.
+    fn check_micro_kernels(
+        tile_4: impl Fn([&[f32]; 4], &[f32], usize, [&mut [f32]; 4]),
+        tile_1: impl Fn(&[f32], &[f32], usize, &mut [f32]),
+    ) {
+        for &(kc, nc) in &[(1usize, 1usize), (7, 8), (33, 21), (5, 69), (256, 128)] {
+            let panel = random(kc * nc, 11);
+            let a = random(4 * kc, 12);
+            let rows: Vec<&[f32]> = a.chunks(kc).collect();
+            let mut out4 = vec![0.5f32; 4 * nc];
+            let (o0, rest) = out4.split_at_mut(nc);
+            let (o1, rest) = rest.split_at_mut(nc);
+            let (o2, o3) = rest.split_at_mut(nc);
+            tile_4(
+                [rows[0], rows[1], rows[2], rows[3]],
+                &panel,
+                nc,
+                [o0, o1, o2, o3],
+            );
+            for (r, row) in rows.iter().enumerate() {
+                let mut one = vec![0.5f32; nc];
+                tile_1(row, &panel, nc, &mut one);
+                assert_eq!(one, out4[r * nc..(r + 1) * nc], "kc={kc} nc={nc} row {r}");
+                let naive: Vec<f32> = (0..nc)
+                    .map(|j| 0.5 + (0..kc).map(|p| row[p] * panel[p * nc + j]).sum::<f32>())
+                    .collect();
+                assert_close(&one, &naive);
+            }
+        }
+    }
+
+    #[test]
+    fn portable_micro_kernels_agree_rowwise_and_with_naive() {
+        // The non-AVX2 fallback, called directly so AVX2 hosts run it too.
+        check_micro_kernels(
+            |[a0, a1, a2, a3], panel, nc, [o0, o1, o2, o3]| {
+                micro_tile_4(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3);
+            },
+            micro_tile_1,
+        );
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fma_micro_kernels_agree_rowwise_and_with_naive() {
+        if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        {
+            return;
+        }
+        check_micro_kernels(
+            |[a0, a1, a2, a3], panel, nc, [o0, o1, o2, o3]| {
+                // SAFETY: the CPU features were just detected, and
+                // `check_micro_kernels` passes `kc`-long A rows, a `kc × nc`
+                // panel and `nc`-long output rows, as the kernel requires.
+                unsafe { micro_tile_4_fma(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3) };
+            },
+            |a0, panel, nc, o0| {
+                // SAFETY: as for the 4-row kernel above.
+                unsafe { micro_tile_1_fma(a0, panel, nc, o0) };
+            },
+        );
     }
 
     #[test]

@@ -438,21 +438,91 @@ fn tanh_rational(x: f32) -> f32 {
     p / q
 }
 
-/// In-place numerically stable softmax over a mutable slice.
+/// `e^x` without libm, for the softmax domain `x ≤ 0`: Cody–Waite range
+/// reduction `x = n·ln2 + r` with `|r| ≤ ln2/2`, a degree-6 polynomial for
+/// `e^r`, and `2ⁿ` built from the bits of the `x·log2e + 1.5·2²³` add (no
+/// float→int cast), so loops over it vectorize.
+///
+/// Relative error against f64 `exp` is at most 2e-7 on `[-87.3, 0]`; inputs
+/// below `ln(f32::MIN_POSITIVE)` return exactly 0 (so `exp(-∞) = 0`), an
+/// absolute error of at most `f32::MIN_POSITIVE`. `exp_poly(0.0) == 1.0`
+/// exactly and NaN propagates (tested in `tests/softmax_accuracy.rs`).
+/// Results stay correct up to `x ≈ 88`; larger inputs overflow the exponent
+/// bits and are not supported.
+pub fn exp_poly(x: f32) -> f32 {
+    // 1.5·2²³: adding it rounds `x·log2e` to an integer held in the low
+    // mantissa bits, offset by 2²² so negative `n` stay representable.
+    const SHIFTER: f32 = 12_582_912.0;
+    // ln2 split so `n·LN2_HI` is exact for |n| < 2⁹ (LN2_HI = 355/512).
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const LN_MIN_POSITIVE: f32 = -87.336_55;
+    // Near-minimax fit of (e^r − 1 − r)/r² on [−ln2/2, ln2/2].
+    const C2: f32 = 0.5;
+    const C3: f32 = 0.166_665_77;
+    const C4: f32 = 4.166_655_5e-2;
+    const C5: f32 = 8.363_173e-3;
+    const C6: f32 = 1.392_617_6e-3;
+    let t = x * std::f32::consts::LOG2_E + SHIFTER;
+    let n = t - SHIFTER;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let q = (((C6 * r + C5) * r + C4) * r + C3) * r + C2;
+    let p = (q * (r * r) + r) + 1.0;
+    // bits(t) = bits(SHIFTER) + n, and bits(SHIFTER) << 23 wraps to 0, so
+    // this is (n + 127) << 23: the f32 bits of 2ⁿ for −126 ≤ n ≤ 127.
+    let scale = f32::from_bits((t.to_bits().wrapping_add(127)) << 23);
+    if x < LN_MIN_POSITIVE {
+        0.0
+    } else {
+        p * scale
+    }
+}
+
+/// In-place numerically stable softmax over a mutable slice: an 8-lane max,
+/// [`exp_poly`] of each `x − max`, an 8-lane sum, then one multiply by
+/// `1/sum`. Each pass is a separate loop so LLVM vectorizes all three (a
+/// fused exp-and-sum loop does not vectorize). The lane structure is fixed,
+/// so a row's result does not depend on where it sits or how rows are split
+/// across threads. NaN entries are skipped by the max, so a row holding NaN
+/// (or only `-∞`) comes out all NaN.
 pub fn softmax_slice(chunk: &mut [f32]) {
+    const LANES: usize = 8;
     if chunk.is_empty() {
         return;
     }
-    let max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in chunk.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in chunk.iter_mut() {
-            *v /= sum;
+    // `x > m` keeps `m` for NaN `x`, like `f32::max`, and lowers to one
+    // `maxps` per vector.
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let mut blocks = chunk.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (m, &x) in lanes.iter_mut().zip(block) {
+            *m = if x > *m { x } else { *m };
         }
+    }
+    for (m, &x) in lanes.iter_mut().zip(blocks.remainder()) {
+        *m = if x > *m { x } else { *m };
+    }
+    let max = lanes.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+
+    for v in chunk.iter_mut() {
+        *v = exp_poly(*v - max);
+    }
+
+    let mut sums = [0.0f32; LANES];
+    let mut blocks = chunk.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (s, &e) in sums.iter_mut().zip(block) {
+            *s += e;
+        }
+    }
+    for (s, &e) in sums.iter_mut().zip(blocks.remainder()) {
+        *s += e;
+    }
+    let sum =
+        ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]));
+    let inv = 1.0 / sum;
+    for v in chunk.iter_mut() {
+        *v *= inv;
     }
 }
 

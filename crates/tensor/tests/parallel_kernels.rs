@@ -47,6 +47,14 @@ fn interesting_shapes(rng: &mut TensorRng) -> Vec<(usize, usize, usize)> {
         (102, 102, 102),
         (128, 64, 128),
         (96, 300, 64),
+        // Attention: Q·Kᵀ and attn·V at ViT-Small 224² (197 tokens, heads
+        // of width 32), and a tiny-head shape.
+        (197, 32, 197),
+        (197, 197, 32),
+        (17, 3, 17),
+        // Transposed-pack edges: k one past KC, n one past NC.
+        (6, 257, 50),
+        (10, 33, 129),
     ];
     // A few fuzzed shapes per run (seeded, so reproducible).
     for _ in 0..6 {
@@ -117,6 +125,52 @@ fn transposed_parallel_matches_reference() {
         let mut got = vec![0.0f32; m * n];
         kernels::matmul_transposed(&a, &bt, &mut got, m, k, n, &pool);
         assert_close(&got, &expected, &format!("matmul_transposed {m}x{k}x{n}"));
+    }
+}
+
+#[test]
+fn every_row_equals_its_one_row_product_bitwise() {
+    // Row-position invariance: the m % 4 leftover rows run a 1-row kernel
+    // with the 4-row kernel's arithmetic, so any row of an m-row product
+    // equals the 1-row product of that row alone, for both layouts and at
+    // every thread count. Shapes cover m % 4 ∈ {1, 2, 3}, n % 16 tails, the
+    // KC/NC block edges and the parallel path.
+    let mut rng = TensorRng::new(0x2011);
+    for threads in [1, 8] {
+        let pool = ParallelPool::new(threads);
+        for (m, k, n) in [
+            (5usize, 192usize, 192usize),
+            (6, 40, 37),
+            (7, 300, 145),
+            (9, 17, 8),
+            (197, 32, 197),
+            (103, 101, 101),
+        ] {
+            let a = rng.rand_uniform(&[m * k], -1.0, 1.0).data().to_vec();
+            let b = rng.rand_uniform(&[k * n], -1.0, 1.0).data().to_vec();
+            let bt = rng.rand_uniform(&[n * k], -1.0, 1.0).data().to_vec();
+            let mut full = vec![0.0f32; m * n];
+            kernels::matmul(&a, &b, &mut full, m, k, n, &pool);
+            let mut full_t = vec![0.0f32; m * n];
+            kernels::matmul_transposed(&a, &bt, &mut full_t, m, k, n, &pool);
+            for i in 0..m {
+                let row = &a[i * k..(i + 1) * k];
+                let mut one = vec![0.0f32; n];
+                kernels::matmul(row, &b, &mut one, 1, k, n, &pool);
+                assert_eq!(
+                    &full[i * n..(i + 1) * n],
+                    one.as_slice(),
+                    "matmul {m}x{k}x{n} row {i} ({threads} threads)"
+                );
+                let mut one_t = vec![0.0f32; n];
+                kernels::matmul_transposed(row, &bt, &mut one_t, 1, k, n, &pool);
+                assert_eq!(
+                    &full_t[i * n..(i + 1) * n],
+                    one_t.as_slice(),
+                    "matmul_transposed {m}x{k}x{n} row {i} ({threads} threads)"
+                );
+            }
+        }
     }
 }
 
